@@ -32,6 +32,10 @@ build_test() {
   echo "==> cargo test --doc (workspace doc-tests)"
   cargo test --workspace --doc -q
 
+  echo "==> perfbench: build the benchmark package and run its unit tests"
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
   echo "==> fleet determinism + scale smoke (sim_fleet)"
   cargo run --release -q -p litegpu-bench --bin sim_fleet -- \
     --gpu lite --instances 200 --hours 2 --quiet-json

@@ -354,10 +354,17 @@ pub mod cli {
         /// passed) attaches the fleet-scope balancer on top of whatever
         /// cell-scope control the config already carries. Call after the
         /// instance count and cell size are final — the multiplier
-        /// vector is sized to `num_cells()`.
+        /// vector is sized to `num_cells()`. Exits 2 when the skew
+        /// cannot keep fleet-total demand unchanged on that many cells
+        /// (see [`check_skew`]).
         pub fn apply(&self, cfg: &mut FleetConfig) {
             if let Some((hot, mult)) = self.skew {
-                cfg.cell_rate_multipliers = skew_multipliers(cfg.num_cells(), hot, mult);
+                let cells = cfg.num_cells();
+                if let Err(e) = check_skew(cells, hot, mult) {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }
+                cfg.cell_rate_multipliers = skew_multipliers(cells, hot, mult);
             }
             if self.enabled {
                 cfg.ctrl = Some(match cfg.ctrl.take() {
@@ -385,6 +392,27 @@ pub mod cli {
                 }
             }
         }
+    }
+
+    /// Checks that `--skew HxM` is possible on `num_cells` cells: the hot
+    /// cells must exist (`H <= cells`) and their demand must fit inside
+    /// the fleet total (`H·M <= cells`), or the cold remainder would
+    /// need a negative rate and the fleet would run above its demand.
+    pub fn check_skew(num_cells: u32, hot: u32, mult: f64) -> Result<(), String> {
+        if hot > num_cells {
+            return Err(format!(
+                "--skew {hot}x{mult}: {hot} hot cells, but the fleet has only {num_cells} cells"
+            ));
+        }
+        let hot_demand = hot as f64 * mult;
+        if hot_demand > num_cells as f64 {
+            return Err(format!(
+                "--skew {hot}x{mult}: the hot cells alone carry {hot_demand} cells' worth of \
+                 demand, more than the fleet's {num_cells} cells; fleet-total demand could \
+                 not stay unchanged"
+            ));
+        }
+        Ok(())
     }
 
     /// The hot/cold multiplier vector for `--skew HxM`: the first `hot`
@@ -465,6 +493,26 @@ mod tests {
         assert_eq!(m, vec![2.0, 2.0, 2.0, 0.0]);
         // All-hot leaves no cold remainder to scale.
         assert_eq!(cli::skew_multipliers(2, 5, 3.0), vec![3.0, 3.0]);
+    }
+
+    #[test]
+    fn check_skew_rejects_impossible_skews() {
+        // The canonical mix, all-cold-at-zero and all-hot-at-1x are fine.
+        assert_eq!(cli::check_skew(8, 2, 2.5), Ok(()));
+        assert_eq!(cli::check_skew(8, 4, 2.0), Ok(()));
+        assert_eq!(cli::check_skew(8, 8, 1.0), Ok(()));
+        assert_eq!(cli::check_skew(1563, 16, 2.5), Ok(()));
+        // More hot cells than cells.
+        let e = cli::check_skew(8, 9, 2.5).unwrap_err();
+        assert!(
+            e.contains("9 hot cells") && e.contains("only 8 cells"),
+            "{e}"
+        );
+        // Hot demand above the fleet total: 3 x 3 = 9 > 8.
+        let e = cli::check_skew(8, 3, 3.0).unwrap_err();
+        assert!(e.contains("9 cells' worth") && e.contains("8 cells"), "{e}");
+        // All hot above 1x cannot conserve demand either.
+        assert!(cli::check_skew(2, 2, 1.5).is_err());
     }
 
     #[test]

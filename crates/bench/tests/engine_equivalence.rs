@@ -2,12 +2,16 @@
 //! (mono / split / dvfs, each with and without a chaos campaign, all on
 //! the 3-tenant workload) must keep producing the exact report, series
 //! and trace bytes the tick-loop engine produced before the event-queue
-//! rewrite — at 1, 2 and 8 threads. The series/trace hashes below were
-//! generated from the pre-refactor per-tick engine; the report hashes
+//! rewrite — at 8 and 3 shards and 1, 2 and 8 threads. The series/trace
+//! hashes below were generated from the pre-refactor per-tick engine
+//! (the `balanced` row excepted, see below); the report hashes
 //! were regenerated when the `balancer` report section landed (a pure
 //! schema addition: `"balancer": null` on every non-balanced run, with
 //! all other bytes — and the series/trace artifacts — unchanged). Any
 //! engine change that drifts a single byte of any artifact fails here.
+//! The `balanced` row (fleet balancer over a 2-hot-cell skew) was added
+//! later, with all three hashes taken from the per-shard-accumulator
+//! engine that preceded worker-local accumulation.
 //!
 //! Regenerate (only when an *intentional* semantic change lands):
 //! `ENGINE_GOLDEN_PRINT=1 cargo test -p litegpu-bench --test
@@ -67,6 +71,13 @@ const GOLDEN: &[(&str, &[&str], u64, u64, u64)] = &[
         0xa49e37433b90682a,
     ),
     (
+        "balanced",
+        &["--serving", "mono", "--balancer", "--skew", "2x2.5"],
+        0x9fa6c29b05948ed4,
+        0xe66d5e65644873c6,
+        0x248997aa055880ee,
+    ),
+    (
         "dvfs_chaos",
         &["--serving", "split", "--dvfs", "--chaos", "thermal"],
         0xa6b31b7069b9bf19,
@@ -75,11 +86,16 @@ const GOLDEN: &[(&str, &[&str], u64, u64, u64)] = &[
     ),
 ];
 
-fn run_combo(combo: &str, flags: &[&str], threads: u32) -> (u64, u64, u64) {
+/// Every row runs at an even split (8 shards of one cell each) and an
+/// uneven one (3 shards over 8 cells: 2, 3 and 3 cells), each at 1, 2
+/// and 8 threads (threads are capped at the shard count).
+const SHARDS_THREADS: [(u32, u32); 6] = [(8, 1), (8, 2), (8, 8), (3, 1), (3, 2), (3, 8)];
+
+fn run_combo(combo: &str, flags: &[&str], shards: u32, threads: u32) -> (u64, u64, u64) {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let series = dir.join(format!("eq_series_{combo}_t{threads}.jsonl"));
-    let trace = dir.join(format!("eq_trace_{combo}_t{threads}.json"));
+    let series = dir.join(format!("eq_series_{combo}_s{shards}_t{threads}.jsonl"));
+    let trace = dir.join(format!("eq_trace_{combo}_s{shards}_t{threads}.json"));
     let out = Command::new(env!("CARGO_BIN_EXE_sim_fleet"))
         .args([
             "--gpu",
@@ -97,12 +113,11 @@ fn run_combo(combo: &str, flags: &[&str], threads: u32) -> (u64, u64, u64) {
             "--workload",
             "multi",
             "--no-baseline",
-            "--shards",
-            "8",
             "--seed",
             "42",
         ])
         .args(flags)
+        .args(["--shards", &shards.to_string()])
         .args(["--threads", &threads.to_string()])
         .args(["--series", series.to_str().unwrap()])
         .args(["--series-dt", "60000000"])
@@ -127,9 +142,9 @@ fn event_engine_matches_tick_loop_goldens() {
     let print = std::env::var("ENGINE_GOLDEN_PRINT").is_ok();
     let mut drift = Vec::new();
     for &(combo, flags, report_g, series_g, trace_g) in GOLDEN {
-        for threads in [1u32, 2, 8] {
-            let (report, series, trace) = run_combo(combo, flags, threads);
-            if print && threads == 1 {
+        for (shards, threads) in SHARDS_THREADS {
+            let (report, series, trace) = run_combo(combo, flags, shards, threads);
+            if print && shards == 8 && threads == 1 {
                 println!("(\"{combo}\", ..., {report:#018x}, {series:#018x}, {trace:#018x}),");
             }
             for (name, got, want) in [
@@ -139,7 +154,7 @@ fn event_engine_matches_tick_loop_goldens() {
             ] {
                 if got != want {
                     drift.push(format!(
-                        "{combo} t{threads} {name}: got {got:#018x}, golden {want:#018x}"
+                        "{combo} s{shards} t{threads} {name}: got {got:#018x}, golden {want:#018x}"
                     ));
                 }
             }

@@ -6,10 +6,10 @@
 //! cells into shards, stepped on any number of threads, produces the same
 //! merged totals: per-instance and per-(cell, tenant) RNG streams are
 //! derived from `(seed, global index)`, all accumulators are integers,
-//! and shard merging is integer addition. That is the engine's core
-//! guarantee — **same seed ⇒ byte-identical [`FleetReport`] JSON at any
-//! shard and thread count** — and `tests/fleet_determinism.rs` enforces
-//! it.
+//! and merging the per-worker accumulators is integer addition. That is
+//! the engine's core guarantee — **same seed ⇒ byte-identical
+//! [`FleetReport`] JSON at any shard and thread count** — and
+//! `tests/fleet_determinism.rs` enforces it.
 //!
 //! Traffic is a multi-tenant [`WorkloadSpec`]: each tenant's arrivals are
 //! drawn per *cell* from the tenant's own dedicated RNG stream (demand is
@@ -33,8 +33,12 @@
 //! (live or down — no router means stranded traffic) weighs equally in
 //! the split.
 //!
-//! Within a shard, cells step cell-major (the whole horizon of one cell
-//! before the next), which keeps each cell's working set hot in cache.
+//! Shards only assign cells to worker threads (shard `s` goes to worker
+//! `s mod threads`); each worker adds every cell it steps into one
+//! accumulator set of its own, so result memory scales with `threads`,
+//! not `shards`. Within a worker, cells step cell-major (the whole
+//! horizon of one cell before the next), which keeps each cell's
+//! working set hot in cache.
 //! The per-cell hot loop is an **event-queue scheduler**, not a
 //! per-tick scan: all timestamps are integer microseconds quantized to
 //! the tick grid, each cell owns a binary-heap event queue
@@ -828,6 +832,10 @@ struct Shared<'a> {
     /// Per-cell slices of the compiled chaos schedule (empty when the
     /// config has no chaos events).
     chaos: Vec<CellChaos>,
+    /// Series window length in whole ticks (0: no series). The trailing
+    /// partial window is dropped; integer-derived once, so every worker
+    /// agrees on the grid.
+    series_every: u32,
 }
 
 /// One cell's slice of the compiled chaos schedule. Computed from the
@@ -1472,12 +1480,44 @@ fn reroute_decode_retries(
     Some(target)
 }
 
-/// The telemetry one shard produced beside its totals: deterministic
-/// series/trace layers plus the (wall-clock, non-deterministic) profile.
-struct ShardTelemetry {
+/// One worker thread's result accumulators: report totals, the
+/// deterministic series/trace layers and the (wall-clock,
+/// non-deterministic) profile, plus the series sampler's scratch. Every
+/// cell a worker steps, whichever shard it belongs to, adds into its one
+/// set, so a run holds `threads` of these, never `shards`.
+struct WorkerAcc {
+    acc: ShardTotals,
     series: Option<SeriesRecorder>,
     trace: Vec<TraceEvent>,
-    profile: Option<PhaseProfile>,
+    prof: ProfTimer,
+    tenant_scratch: Vec<u64>,
+}
+
+impl WorkerAcc {
+    fn new(shared: &Shared<'_>) -> Self {
+        let cfg = shared.cfg;
+        let n_tenants = cfg.workload.tenants.len();
+        let every = shared.series_every;
+        Self {
+            acc: ShardTotals::new(n_tenants, shared.lut.num_clocks()),
+            series: (every > 0).then(|| {
+                SeriesRecorder::new(
+                    every as u64 * shared.knobs.tick_us,
+                    (cfg.num_ticks() / every) as usize,
+                )
+            }),
+            trace: Vec::new(),
+            prof: ProfTimer::new(cfg.telemetry.profile),
+            tenant_scratch: vec![0u64; n_tenants],
+        }
+    }
+
+    /// Sorts the trace on the worker thread, so the merge sees one
+    /// sorted run per worker.
+    fn finish(mut self) -> Self {
+        self.trace.sort_unstable();
+        self
+    }
 }
 
 /// Wall-clock phase timer; each `mark` attributes the time since the
@@ -1559,7 +1599,7 @@ impl CounterSnap {
     }
 
     /// Shifts this snapshot forward by the counter movement between
-    /// `pause` and `now` — the additions *other* cells of the shard made
+    /// `pause` and `now` — the additions *other* cells of the worker made
     /// to the accumulator while this cell's stepping was paused between
     /// fleet windows — so the next window delta still counts only this
     /// cell's own additions. With cell-major stepping the movement is
@@ -1959,7 +1999,7 @@ struct CellPlan {
 /// piece of loop state (wakeup heap, accrual clocks, arrival cursor,
 /// periodic channels, the current tick) lives here, and the only
 /// cross-window correction needed is the series snapshot drift — other
-/// cells of the same shard advance the shard accumulator while this
+/// cells of the same worker advance the worker's accumulator while this
 /// cell is paused, so the sampling snapshot is advanced by the same
 /// amount on re-entry ([`CounterSnap::advance`]).
 struct CellSim<'a> {
@@ -1983,9 +2023,8 @@ struct CellSim<'a> {
     /// [`TraceSink`] is reassembled inside each `run_until` call.
     sampler: Option<SpanSampler>,
     series_ids: Option<SeriesIds>,
-    series_every: u32,
     snap: CounterSnap,
-    /// Shard-accumulator snapshot at the last segment exit, for the
+    /// Worker-accumulator snapshot at the last segment exit, for the
     /// re-entry drift compensation (kept only when sampling series).
     pause: Option<CounterSnap>,
     heap: BinaryHeap<Reverse<(u32, u32)>>,
@@ -2012,15 +2051,11 @@ struct CellSim<'a> {
 }
 
 impl<'a> CellSim<'a> {
-    fn new(
-        shared: &'a Shared<'_>,
-        seed: u64,
-        cell_idx: u32,
-        series_every: u32,
-        series: Option<&mut SeriesRecorder>,
-        prof: &mut ProfTimer,
-        acc: &ShardTotals,
-    ) -> Self {
+    fn new(shared: &'a Shared<'_>, seed: u64, cell_idx: u32, w: &mut WorkerAcc) -> Self {
+        let WorkerAcc {
+            acc, series, prof, ..
+        } = w;
+        let series_every = shared.series_every;
         let cfg = shared.cfg;
         let rates = &shared.rates;
         let n_tenants = cfg.workload.tenants.len();
@@ -2072,7 +2107,7 @@ impl<'a> CellSim<'a> {
             .filter(|c| !c.is_empty());
         // Resolve this cell's metric ids once: re-resolution across
         // cells is idempotent, and the tick loop then samples by index.
-        let series_ids = series.map(|s| {
+        let series_ids = series.as_mut().map(|s| {
             SeriesIds::new(
                 s,
                 n_tenants,
@@ -2152,7 +2187,6 @@ impl<'a> CellSim<'a> {
             snap: CounterSnap::take(acc),
             pause: series_ids.is_some().then(|| CounterSnap::take(acc)),
             series_ids,
-            series_every,
             heap,
             accrued: vec![0u32; n],
             busy: vec![false; n],
@@ -2183,19 +2217,16 @@ impl<'a> CellSim<'a> {
     /// segment resumes from there). Every phase of the loop body is
     /// identical to the pre-extraction cell-major loop; only the loop
     /// bound changed from the horizon to `until`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_until(
-        &mut self,
-        shared: &Shared<'_>,
-        until: u32,
-        acc: &mut ShardTotals,
-        series: &mut Option<SeriesRecorder>,
-        trace_buf: &mut Vec<TraceEvent>,
-        prof: &mut ProfTimer,
-        tenant_scratch: &mut [u64],
-    ) {
+    fn run_until(&mut self, shared: &Shared<'_>, until: u32, w: &mut WorkerAcc) {
+        let WorkerAcc {
+            acc,
+            series,
+            trace: trace_buf,
+            prof,
+            tenant_scratch,
+        } = w;
         // Re-entry drift compensation: while this cell was paused, the
-        // shard's other cells advanced `acc`; shift the sampling
+        // worker's other cells advanced `acc`; shift the sampling
         // snapshot by the same amount so the next window delta counts
         // only this cell's own additions.
         if let Some(pause) = self.pause.take() {
@@ -2227,7 +2258,6 @@ impl<'a> CellSim<'a> {
             chaos_outed,
             sampler,
             series_ids,
-            series_every,
             snap: snap_ref,
             pause: pause_ref,
             heap,
@@ -2250,7 +2280,7 @@ impl<'a> CellSim<'a> {
             tick: tick_ref,
             ..
         } = self;
-        let series_every = *series_every;
+        let series_every = shared.series_every;
         let mut snap = core::mem::take(snap_ref);
         let mut sink = sampler.take().map(|sampler| TraceSink {
             buf: trace_buf,
@@ -2854,7 +2884,7 @@ impl<'a> CellSim<'a> {
     /// quota, removes spilled requests from this cell's pending
     /// arrivals, and lands cohorts other cells redirected here. Spill
     /// accounting books the outflow at the source and the inflow at the
-    /// destination, each into its own shard's accumulator, so the
+    /// destination, each into its own worker's accumulator, so the
     /// merged flow matrix conserves exactly.
     fn apply_plan(&mut self, plan: CellPlan, acc: &mut ShardTotals) {
         self.flow.quota_left = plan.quota.unwrap_or(u64::MAX);
@@ -3023,8 +3053,8 @@ fn plan_fleet(
 /// [`FleetController`] over the assembled [`FleetObs`] (cells still
 /// never read each other's state — only the planner sees the fleet),
 /// and every cell applies its own directive before the next window.
-/// Per-shard accumulators and telemetry are built exactly as in the
-/// cell-major path, so the fixed-order merge — and with it the
+/// Worker `w` owns the same cells as in the cell-major path and keeps
+/// them all alive in one [`WorkerAcc`], so the merge — and with it the
 /// byte-identity guarantee over `(shards, threads)` — is unchanged.
 fn run_balanced(
     shared: &Shared<'_>,
@@ -3032,22 +3062,13 @@ fn run_balanced(
     shards: u32,
     threads: u32,
     bal: &BalancerConfig,
-    slots: &mut [Option<(ShardTotals, ShardTelemetry)>],
-) {
+) -> Vec<WorkerAcc> {
     let cfg = shared.cfg;
     let cells = cfg.num_cells();
     let ticks = cfg.num_ticks();
     let tick_us = shared.knobs.tick_us;
-    let n_tenants = cfg.workload.tenants.len();
-    let tel = &cfg.telemetry;
-    let series_every = if tel.series_dt_us > 0 {
-        (((tel.series_dt_us + tick_us / 2) / tick_us) as u32).max(1)
-    } else {
-        0
-    };
     let bal_ticks = ((bal.interval_s / cfg.tick_s).round() as u32).max(1);
     let bal_window_s = bal_ticks as f64 * cfg.tick_s;
-    let bounds = |s: u32| (s as u64 * cells as u64 / shards as u64) as u32;
     // Fleet-tick rendezvous state: one slot per cell for the published
     // snapshot and the returned plan. Each cell's slot is written and
     // read by its owning worker only (plus the leader), so the locks
@@ -3056,53 +3077,13 @@ fn run_balanced(
     let plans: Vec<Mutex<Option<CellPlan>>> = (0..cells).map(|_| Mutex::new(None)).collect();
     let controller: Mutex<Box<dyn FleetController + Send>> = Mutex::new(bal.build());
     let barrier = Barrier::new(threads as usize);
-    struct BalCtx<'a> {
-        shard: u32,
-        acc: ShardTotals,
-        series: Option<SeriesRecorder>,
-        trace_buf: Vec<TraceEvent>,
-        prof: ProfTimer,
-        tenant_scratch: Vec<u64>,
-        sims: Vec<CellSim<'a>>,
-    }
-    let worker = |w: u32| -> Vec<(u32, (ShardTotals, ShardTelemetry))> {
-        // Per-owned-shard contexts, cells constructed in index order
-        // (metric-registration order is part of the series bytes).
-        let mut ctxs: Vec<BalCtx<'_>> = Vec::new();
-        let mut s = w;
-        while s < shards {
-            let acc = ShardTotals::new(n_tenants, shared.lut.num_clocks());
-            let mut series = (series_every > 0).then(|| {
-                SeriesRecorder::new(
-                    series_every as u64 * tick_us,
-                    (ticks / series_every.max(1)) as usize,
-                )
-            });
-            let mut prof = ProfTimer::new(tel.profile);
-            let sims: Vec<CellSim<'_>> = (bounds(s)..bounds(s + 1))
-                .map(|c| {
-                    CellSim::new(
-                        shared,
-                        seed,
-                        c,
-                        series_every,
-                        series.as_mut(),
-                        &mut prof,
-                        &acc,
-                    )
-                })
-                .collect();
-            ctxs.push(BalCtx {
-                shard: s,
-                acc,
-                series,
-                trace_buf: Vec::new(),
-                prof,
-                tenant_scratch: vec![0u64; n_tenants],
-                sims,
-            });
-            s += threads;
-        }
+    on_workers(threads, |w| {
+        let mut out = WorkerAcc::new(shared);
+        // Cells constructed in ownership order (metric-registration
+        // order is part of the series bytes).
+        let mut sims: Vec<CellSim<'_>> = worker_cells(cells, shards, threads, w)
+            .map(|c| CellSim::new(shared, seed, c, &mut out))
+            .collect();
         // One sweep through the owned cells per window: apply the
         // previous window's plan, run to the boundary, and publish —
         // per cell, while its state is hot in cache. Sweeping the fleet
@@ -3115,29 +3096,19 @@ fn run_balanced(
             let b_next = b.saturating_add(bal_ticks).min(ticks);
             let now_us = b as u64 * tick_us;
             let publishing = b < ticks;
-            for cx in ctxs.iter_mut() {
-                for sim in cx.sims.iter_mut() {
-                    if have_plans {
-                        let plan = plans[sim.cell_idx as usize]
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("leader planned every cell");
-                        sim.apply_plan(plan, &mut cx.acc);
-                    }
-                    sim.run_until(
-                        shared,
-                        b,
-                        &mut cx.acc,
-                        &mut cx.series,
-                        &mut cx.trace_buf,
-                        &mut cx.prof,
-                        &mut cx.tenant_scratch,
-                    );
-                    if publishing {
-                        let snap = sim.publish(now_us, b_next);
-                        *snaps[sim.cell_idx as usize].lock().unwrap() = Some(snap);
-                    }
+            for sim in sims.iter_mut() {
+                if have_plans {
+                    let plan = plans[sim.cell_idx as usize]
+                        .lock()
+                        .unwrap()
+                        .take()
+                        .expect("leader planned every cell");
+                    sim.apply_plan(plan, &mut out.acc);
+                }
+                sim.run_until(shared, b, &mut out);
+                if publishing {
+                    let snap = sim.publish(now_us, b_next);
+                    *snaps[sim.cell_idx as usize].lock().unwrap() = Some(snap);
                 }
             }
             if !publishing {
@@ -3158,51 +3129,15 @@ fn run_balanced(
             have_plans = true;
             b = b_next;
         }
-        ctxs.into_iter()
-            .map(|mut cx| {
-                for sim in cx.sims.iter_mut() {
-                    sim.finalize(shared, &mut cx.acc);
-                }
-                cx.trace_buf.sort_unstable();
-                (
-                    cx.shard,
-                    (
-                        cx.acc,
-                        ShardTelemetry {
-                            series: cx.series,
-                            trace: cx.trace_buf,
-                            profile: cx.prof.p,
-                        },
-                    ),
-                )
-            })
-            .collect()
-    };
-    if threads == 1 {
-        for (s, out) in worker(0) {
-            slots[s as usize] = Some(out);
+        for sim in sims.iter_mut() {
+            sim.finalize(shared, &mut out.acc);
         }
-    } else {
-        let out: Vec<Vec<(u32, (ShardTotals, ShardTelemetry))>> = std::thread::scope(|scope| {
-            let worker = &worker;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| scope.spawn(move || worker(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("balanced shard worker panicked"))
-                .collect()
-        });
-        for chunk in out {
-            for (s, r) in chunk {
-                slots[s as usize] = Some(r);
-            }
-        }
-    }
+        out.finish()
+    })
 }
 
-/// Steps every cell in `[cell_lo, cell_hi)` through the whole horizon
-/// on the event-queue scheduler.
+/// Steps every cell `cells` yields through the whole horizon on the
+/// event-queue scheduler, one cell at a time, into one [`WorkerAcc`].
 ///
 /// Instead of walking every instance every tick, each cell keeps a
 /// min-heap of *wakeups* — `(tick, instance)` failure/recovery events
@@ -3216,67 +3151,57 @@ fn run_balanced(
 /// are byte-safe by construction (every phase below no-ops when nothing
 /// is due — the tick loop ran all of them every tick); only a missing
 /// wakeup could diverge, which the engine-equivalence goldens pin.
-fn simulate_cells(
-    shared: &Shared<'_>,
-    seed: u64,
-    cell_lo: u32,
-    cell_hi: u32,
-) -> (ShardTotals, ShardTelemetry) {
-    let cfg = shared.cfg;
-    let n_tenants = cfg.workload.tenants.len();
-    let mut acc = ShardTotals::new(n_tenants, shared.lut.num_clocks());
-    let ticks = cfg.num_ticks();
-    let tick_us = shared.knobs.tick_us;
-    let tel = &cfg.telemetry;
-    // The series grid: whole ticks per window, trailing partial window
-    // dropped. Integer-derived once, so every shard agrees on the grid.
-    let series_every = if tel.series_dt_us > 0 {
-        (((tel.series_dt_us + tick_us / 2) / tick_us) as u32).max(1)
-    } else {
-        0
-    };
-    let mut series = (series_every > 0).then(|| {
-        SeriesRecorder::new(
-            series_every as u64 * tick_us,
-            (ticks / series_every.max(1)) as usize,
-        )
-    });
-    let mut trace_buf: Vec<TraceEvent> = Vec::new();
-    let mut prof = ProfTimer::new(tel.profile);
-    let mut tenant_scratch = vec![0u64; n_tenants];
-    for cell_idx in cell_lo..cell_hi {
-        let mut sim = CellSim::new(
-            shared,
-            seed,
-            cell_idx,
-            series_every,
-            series.as_mut(),
-            &mut prof,
-            &acc,
-        );
-        sim.run_until(
-            shared,
-            ticks,
-            &mut acc,
-            &mut series,
-            &mut trace_buf,
-            &mut prof,
-            &mut tenant_scratch,
-        );
-        sim.finalize(shared, &mut acc);
+fn simulate_cells(shared: &Shared<'_>, seed: u64, cells: impl Iterator<Item = u32>) -> WorkerAcc {
+    let ticks = shared.cfg.num_ticks();
+    let mut out = WorkerAcc::new(shared);
+    for cell_idx in cells {
+        let mut sim = CellSim::new(shared, seed, cell_idx, &mut out);
+        sim.run_until(shared, ticks, &mut out);
+        sim.finalize(shared, &mut out.acc);
     }
-    // Pre-sort this shard's events on the worker thread: the main-thread
-    // merge then sees one sorted run per shard, which the stable sort
-    // there merges in O(n log shards) instead of a full re-sort.
-    trace_buf.sort_unstable();
-    (
-        acc,
-        ShardTelemetry {
-            series,
-            trace: trace_buf,
-            profile: prof.p,
-        },
-    )
+    out.finish()
+}
+
+/// The cells worker `w` of `threads` steps, in stepping order: shard `s`
+/// owns cells `[s·cells/shards, (s+1)·cells/shards)`, and the worker
+/// takes shards `w, w + threads, w + 2·threads, …`.
+fn worker_cells(cells: u32, shards: u32, threads: u32, w: u32) -> impl Iterator<Item = u32> {
+    let bounds = move |s: u32| (s as u64 * cells as u64 / shards as u64) as u32;
+    (w..shards)
+        .step_by(threads as usize)
+        .flat_map(move |s| bounds(s)..bounds(s + 1))
+}
+
+/// Runs `work(w)` for every worker `w < threads` — on the calling
+/// thread when there is only one — and returns the results in worker
+/// order.
+fn on_workers<T: Send>(threads: u32, work: impl Fn(u32) -> T + Sync) -> Vec<T> {
+    if threads == 1 {
+        return vec![work(0)];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || work(w))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fleet worker panicked"))
+            .collect()
+    })
+}
+
+/// Steps the whole fleet on `threads` workers (`shards` clamped to the
+/// cell count, `threads` to `shards`) and returns one accumulator set
+/// per worker, in worker order.
+fn run_workers(shared: &Shared<'_>, seed: u64, shards: u32, threads: u32) -> Vec<WorkerAcc> {
+    let cells = shared.cfg.num_cells();
+    let shards = shards.clamp(1, cells);
+    let threads = threads.clamp(1, shards);
+    match shared.cfg.ctrl.as_ref().and_then(|c| c.balancer.as_ref()) {
+        Some(bal) => run_balanced(shared, seed, shards, threads, bal),
+        None => on_workers(threads, |w| {
+            simulate_cells(shared, seed, worker_cells(cells, shards, threads, w))
+        }),
+    }
 }
 
 /// A fleet run together with whatever telemetry the config asked for.
@@ -3284,7 +3209,7 @@ fn simulate_cells(
 /// The `report` is byte-identical for any `(shards, threads)` and for
 /// any [`TelemetryConfig`]; `series` and `trace` are themselves
 /// shard/thread-invariant (deterministic merges over deterministic
-/// shard-local recordings). Only `profile` is wall-clock and varies
+/// worker-local recordings). Only `profile` is wall-clock and varies
 /// between runs — it must never feed back into simulation state.
 #[derive(Debug)]
 pub struct FleetRun {
@@ -3300,7 +3225,9 @@ pub struct FleetRun {
 
 /// Runs the fleet partitioned into `shards` shards on up to `threads`
 /// OS threads. The partition affects wall-clock only: the report is
-/// byte-identical for any `(shards, threads)`.
+/// byte-identical for any `(shards, threads)`. Shards only decide which
+/// worker steps which cells; each worker accumulates into one result set,
+/// so result memory scales with `threads`, not `shards`.
 ///
 /// # Examples
 ///
@@ -3320,59 +3247,32 @@ pub fn run_sharded(cfg: &FleetConfig, seed: u64, shards: u32, threads: u32) -> R
     Ok(run_sharded_full(cfg, seed, shards, threads)?.report)
 }
 
-/// [`run_sharded`] plus the telemetry artefacts requested by
-/// `cfg.telemetry`: merged series, merged trace, and the engine
-/// self-profile.
-pub fn run_sharded_full(
-    cfg: &FleetConfig,
-    seed: u64,
-    shards: u32,
-    threads: u32,
-) -> Result<FleetRun> {
-    cfg.validate()?;
-    // A DVFS-controlled fleet prices the full SLO_MIN_CLOCK..=1.0
-    // operating-point grid; so does any run with thermal-excursion chaos
-    // (the clamp needs sub-nominal rows to land on). Everything else
-    // prices nominal only (same table, one clock row).
+/// Prices the step-cost table a run of `cfg` steps on. A DVFS-controlled
+/// fleet prices the full SLO_MIN_CLOCK..=1.0 operating-point grid; so
+/// does any run with thermal-excursion chaos (the clamp needs
+/// sub-nominal rows to land on). Everything else prices nominal only
+/// (same table, one clock row).
+fn build_lut(cfg: &FleetConfig) -> Result<StepCostTable> {
     let clocks: Vec<f64> = if cfg.dvfs_enabled() || cfg.chaos.has_thermal() {
         power_mgmt::operating_points()
     } else {
         vec![1.0]
     };
-    let lut = StepCostTable::build_with_clocks(
+    Ok(StepCostTable::build_with_clocks(
         &cfg.gpu,
         &cfg.arch,
         cfg.gpus_per_instance,
         &cfg.params,
         &clocks,
-    )?;
-    let ticks = cfg.num_ticks();
-    let knobs = cfg.knobs();
-    let tenants_meta = cfg.tenant_meta(&knobs);
-    let shared = Shared {
-        cfg,
-        lut: &lut,
-        rates: cfg.failure_rates(),
-        power: cfg.instance_power(lut.clock_points()),
-        cap_rps: cfg.capacity_rps(&lut),
-        clock_points: cfg.clock_obs(&lut, &knobs),
-        nominal_ci: lut.nominal_clock_idx() as u8,
-        split: match &cfg.serving {
-            ServingMode::Monolithic => None,
-            ServingMode::PhaseSplit {
-                prefill_fraction,
-                kv_link,
-            } => Some(SplitShared {
-                prefill_fraction: *prefill_fraction,
-                kv_bytes_per_s: (kv_link.bandwidth_gbps * 1e9).round() as u64,
-                kv_max_backlog_us: (kv_link.max_backlog_s * 1e6).round() as u64,
-                prefill_capacity_rps: cfg.prefill_capacity_rps_at(&lut, lut.nominal_clock_idx()),
-                decode_capacity_rps: cfg.decode_capacity_rps_at(&lut, lut.nominal_clock_idx()),
-            }),
-        },
-        priority_order: cfg.workload.priority_order(),
-        classes: cfg.workload.tenants.iter().map(|t| t.priority).collect(),
-        lambda: cfg
+    )?)
+}
+
+impl<'a> Shared<'a> {
+    fn new(cfg: &'a FleetConfig, lut: &'a StepCostTable) -> Self {
+        let ticks = cfg.num_ticks();
+        let knobs = cfg.knobs();
+        let tick_us = knobs.tick_us;
+        let lambda: Vec<Vec<f64>> = cfg
             .workload
             .share_fractions()
             .iter()
@@ -3383,88 +3283,99 @@ pub fn run_sharded_full(
                     .map(|k| base * t.pattern.multiplier_at((k as f64 + 0.5) * cfg.tick_s))
                     .collect()
             })
-            .collect(),
-        arr_plans: Vec::new(),
-        chaos: compile_cell_chaos(cfg, lut.clock_points()),
-        knobs,
-    };
-    let mut shared = shared;
-    shared.arr_plans = plan_arrivals(&shared.lambda, cfg.cell_size as f64);
-    let shared = shared;
-    let cells = cfg.num_cells();
-    let shards = shards.clamp(1, cells);
-    let threads = threads.clamp(1, shards);
-    // Shard s owns cells [s·cells/shards, (s+1)·cells/shards).
-    let bounds = |s: u32| (s as u64 * cells as u64 / shards as u64) as u32;
-
-    let mut slots: Vec<Option<(ShardTotals, ShardTelemetry)>> = (0..shards).map(|_| None).collect();
-    if let Some(bal) = cfg.ctrl.as_ref().and_then(|c| c.balancer.as_ref()) {
-        run_balanced(&shared, seed, shards, threads, bal, &mut slots);
-    } else if threads == 1 {
-        for (s, slot) in slots.iter_mut().enumerate() {
-            let s = s as u32;
-            *slot = Some(simulate_cells(&shared, seed, bounds(s), bounds(s + 1)));
+            .collect();
+        Shared {
+            cfg,
+            lut,
+            rates: cfg.failure_rates(),
+            power: cfg.instance_power(lut.clock_points()),
+            cap_rps: cfg.capacity_rps(lut),
+            clock_points: cfg.clock_obs(lut, &knobs),
+            nominal_ci: lut.nominal_clock_idx() as u8,
+            split: match &cfg.serving {
+                ServingMode::Monolithic => None,
+                ServingMode::PhaseSplit {
+                    prefill_fraction,
+                    kv_link,
+                } => Some(SplitShared {
+                    prefill_fraction: *prefill_fraction,
+                    kv_bytes_per_s: (kv_link.bandwidth_gbps * 1e9).round() as u64,
+                    kv_max_backlog_us: (kv_link.max_backlog_s * 1e6).round() as u64,
+                    prefill_capacity_rps: cfg.prefill_capacity_rps_at(lut, lut.nominal_clock_idx()),
+                    decode_capacity_rps: cfg.decode_capacity_rps_at(lut, lut.nominal_clock_idx()),
+                }),
+            },
+            priority_order: cfg.workload.priority_order(),
+            classes: cfg.workload.tenants.iter().map(|t| t.priority).collect(),
+            arr_plans: plan_arrivals(&lambda, cfg.cell_size as f64),
+            lambda,
+            chaos: compile_cell_chaos(cfg, lut.clock_points()),
+            series_every: if cfg.telemetry.series_dt_us > 0 {
+                (((cfg.telemetry.series_dt_us + tick_us / 2) / tick_us) as u32).max(1)
+            } else {
+                0
+            },
+            knobs,
         }
-    } else {
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut s = w;
-                        while s < shards {
-                            out.push((s, simulate_cells(shared, seed, bounds(s), bounds(s + 1))));
-                            s += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (s, acc) in h.join().expect("shard worker panicked") {
-                    slots[s as usize] = Some(acc);
-                }
-            }
-        });
     }
+}
 
-    // Merge in fixed shard order so series/trace bytes are invariant
-    // to the thread schedule. Series merging is elementwise addition
+/// [`run_sharded`] plus the telemetry artefacts requested by
+/// `cfg.telemetry`: merged series, merged trace, and the engine
+/// self-profile. Like the report, result memory scales with `threads`,
+/// not `shards`.
+pub fn run_sharded_full(
+    cfg: &FleetConfig,
+    seed: u64,
+    shards: u32,
+    threads: u32,
+) -> Result<FleetRun> {
+    cfg.validate()?;
+    let lut = build_lut(cfg)?;
+    let shared = Shared::new(cfg, &lut);
+    let tenants_meta = cfg.tenant_meta(&shared.knobs);
+    let workers = run_workers(&shared, seed, shards, threads);
+
+    // Merge in fixed worker order so series/trace bytes are invariant
+    // to the thread schedule. Series merging is per-name addition
     // (commutative), and the trace gets a total-order sort afterwards,
     // but fixed order keeps the invariant self-evident.
     let merge_start = Instant::now();
     let tel = &cfg.telemetry;
     let mut totals = ShardTotals::new(cfg.workload.tenants.len(), lut.num_clocks());
     let mut series: Option<SeriesRecorder> = None;
-    let mut trace: Option<Vec<TraceEvent>> = (tel.trace_every > 0).then(Vec::new);
     let mut profile: Option<PhaseProfile> = tel.profile.then(PhaseProfile::new);
-    for slot in &mut slots {
-        let (acc, shard_tel) = slot.take().expect("every shard simulated");
-        totals.merge(&acc);
-        if let Some(s) = shard_tel.series {
+    let mut traces: Vec<Vec<TraceEvent>> = Vec::with_capacity(workers.len());
+    for w in workers {
+        totals.merge(&w.acc);
+        if let Some(s) = w.series {
             match series.as_mut() {
                 Some(m) => m.merge(&s),
                 None => series = Some(s),
             }
         }
-        if let Some(t) = trace.as_mut() {
-            t.extend(shard_tel.trace);
-        }
-        if let (Some(p), Some(sp)) = (profile.as_mut(), shard_tel.profile.as_ref()) {
-            p.merge(sp);
+        traces.push(w.trace);
+        if let (Some(p), Some(wp)) = (profile.as_mut(), w.prof.p.as_ref()) {
+            p.merge(wp);
         }
     }
     // Sort into the schema's total order (field order is the sort key),
-    // making the byte stream independent of shard boundaries. Each shard
-    // arrives pre-sorted, so the stable (run-merging) sort only pays the
-    // k-way merge of the per-shard runs.
-    if let Some(t) = trace.as_mut() {
+    // making the byte stream independent of shard boundaries. Each worker
+    // arrives pre-sorted, so a lone worker's buffer is already final and
+    // otherwise the stable (run-merging) sort only pays the k-way merge
+    // of the per-worker runs, in one buffer allocated at its final size.
+    let trace: Option<Vec<TraceEvent>> = (tel.trace_every > 0).then(|| {
+        if traces.len() == 1 {
+            return traces.pop().expect("one worker");
+        }
+        let mut t = traces.concat();
         t.sort();
-    }
+        t
+    });
     if let Some(p) = profile.as_mut() {
         p.record(PHASE_MERGE, merge_start.elapsed().as_nanos() as u64);
     }
+    let cells = cfg.num_cells();
     let horizon_s_eff = cfg.num_ticks() as f64 * cfg.tick_s;
     let report = FleetReport::finalize(
         &totals,
@@ -3503,7 +3414,9 @@ pub fn run_sharded_full(
 }
 
 /// Runs the fleet with maximum parallelism (one shard per cell, one
-/// thread per available core). Same result as any other sharding.
+/// thread per available core). Same result as any other sharding, and
+/// result memory scales with the thread count, not with the per-cell
+/// shards: each worker accumulates all of its cells into one set.
 pub fn run(cfg: &FleetConfig, seed: u64) -> Result<FleetReport> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get() as u32)
@@ -3575,6 +3488,31 @@ mod tests {
         }
         let auto = run(&cfg, 42).unwrap();
         assert_eq!(auto, base);
+    }
+
+    #[test]
+    fn merge_receives_one_accumulator_set_per_worker() {
+        // One shard per cell: a per-shard accumulator set would hand the
+        // merge 8 sets instead of 2.
+        let mut cfg = small_ctrl_cfg();
+        cfg.instances = 32;
+        assert_eq!(cfg.num_cells(), 8);
+        cfg.telemetry.series_dt_us = 60_000_000;
+        cfg.telemetry.trace_every = 16;
+        let mut balanced = cfg.clone();
+        balanced.ctrl = balanced
+            .ctrl
+            .map(|c| c.with_balancer(BalancerConfig::default()));
+        for (label, cfg) in [("cell-major", cfg), ("balanced", balanced)] {
+            let lut = build_lut(&cfg).unwrap();
+            let shared = Shared::new(&cfg, &lut);
+            let workers = run_workers(&shared, 42, 8, 2);
+            assert_eq!(workers.len(), 2, "{label}: one set per worker");
+            let arrived: u64 = workers.iter().map(|w| w.acc.arrived).sum();
+            let single = run_sharded(&cfg, 42, 1, 1).unwrap();
+            assert_eq!(arrived, single.arrived, "{label}: every cell stepped once");
+            assert!(workers.iter().all(|w| w.series.is_some()), "{label}");
+        }
     }
 
     #[test]
